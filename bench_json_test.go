@@ -14,7 +14,6 @@ import (
 type benchRecord struct {
 	Name        string  `json:"name"`
 	Nets        int     `json:"nets"`
-	Workers     int     `json:"workers"`
 	N           int     `json:"n"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
@@ -30,7 +29,8 @@ type benchDoc struct {
 
 // TestWriteEvaluateBenchJSON regenerates BENCH_evaluate.json, the
 // machine-readable record of the evaluation-engine benchmarks (ns/op
-// and allocs/op for the sequential and parallel IR-grid score paths).
+// and allocs/op of the IR-grid score path, with and without a context
+// armed, and of the pooled wrapper).
 // It runs only when IRGRID_BENCH_JSON is set:
 //
 //	IRGRID_BENCH_JSON=1 go test -run TestWriteEvaluateBenchJSON .
@@ -45,14 +45,18 @@ func TestWriteEvaluateBenchJSON(t *testing.T) {
 		GoVersion:  runtime.Version(),
 	}
 
-	// Steady-state engine on the ≥500-net synthetic instance,
-	// sequential vs parallel accumulation.
+	// Steady-state engine on the 500-net synthetic instance, without
+	// and with a live (never-canceled) context armed, as the annealer
+	// runs it under RunContext; the second row documents the cost of
+	// the ctx checks every 64 nets.
 	chip, nets := syntheticNets(500)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for _, cfg := range []struct {
-		name    string
-		workers int
-	}{{"BenchmarkIRGridScore500/seq", 1}, {"BenchmarkIRGridScore500/par4", 4}} {
-		e := core.Model{Pitch: 30, Workers: cfg.workers}.NewEvaluator()
+		name string
+		ctx  context.Context
+	}{{"BenchmarkIRGridScore500/seq", nil}, {"BenchmarkIRGridScore500/seq+ctx", ctx}} {
+		e := core.Model{Pitch: 30, Ctx: cfg.ctx}.NewEvaluator()
 		e.Score(chip, nets) // warm arenas and memos outside the measurement
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
@@ -63,31 +67,7 @@ func TestWriteEvaluateBenchJSON(t *testing.T) {
 			}
 		})
 		doc.Results = append(doc.Results, benchRecord{
-			Name: cfg.name, Nets: len(nets), Workers: cfg.workers,
-			N:           r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(), BytesPerOp: r.AllocedBytesPerOp(),
-		})
-	}
-
-	// The cancellation-guarded path: the same steady-state engine with
-	// a live (never-canceled) context armed, as the annealer runs it
-	// under RunContext. Documents the cost of the per-shard ctx checks.
-	{
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		e := core.Model{Pitch: 30, Workers: 1, Ctx: ctx}.NewEvaluator()
-		e.Score(chip, nets)
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if s := e.Score(chip, nets); s <= 0 {
-					b.Fatal("zero score")
-				}
-			}
-		})
-		doc.Results = append(doc.Results, benchRecord{
-			Name: "BenchmarkIRGridScore500/seq+ctx", Nets: len(nets), Workers: 1,
+			Name: cfg.name, Nets: len(nets),
 			N:           r.N,
 			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 			AllocsPerOp: r.AllocsPerOp(), BytesPerOp: r.AllocedBytesPerOp(),
@@ -108,7 +88,7 @@ func TestWriteEvaluateBenchJSON(t *testing.T) {
 		}
 	})
 	doc.Results = append(doc.Results, benchRecord{
-		Name: "BenchmarkIRGridScore", Nets: len(sol.Nets), Workers: 0,
+		Name: "BenchmarkIRGridScore", Nets: len(sol.Nets),
 		N:           r.N,
 		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 		AllocsPerOp: r.AllocsPerOp(), BytesPerOp: r.AllocedBytesPerOp(),

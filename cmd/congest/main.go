@@ -40,7 +40,6 @@ func main() {
 		top     = flag.Int("top", 5, "number of hotspots to list")
 		heatmap = flag.Bool("heatmap", false, "render an ASCII heat map")
 		csvOut  = flag.String("csv", "", "write the congestion map as CSV to this file ('-' for stdout)")
-		workers = flag.Int("workers", 0, "IR-grid evaluation workers (0 = all CPUs, 1 = sequential; results are identical)")
 		metrics = flag.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof/ on this host:port during evaluation")
 		timeout = flag.Duration("timeout", 0, "abort the evaluation after this duration (exit 124; also stops on SIGINT/SIGTERM)")
 		version = flag.Bool("version", false, "print the build version and exit")
@@ -72,7 +71,7 @@ func main() {
 	for i, n := range doc.Nets {
 		nets[i] = congestion.Net{X1: n[0], Y1: n[1], X2: n[2], Y2: n[3]}
 	}
-	opts := congestion.Options{Pitch: *pitch, Workers: *workers}
+	opts := congestion.Options{Pitch: *pitch}
 	if *metrics != "" {
 		opts.Obs = telemetry.NewRegistry()
 		opts.Spans = telemetry.NewSpans()

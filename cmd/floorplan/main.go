@@ -54,7 +54,6 @@ func run() int {
 		seed      = flag.Int64("seed", 1, "random seed")
 		moves     = flag.Int("moves", 100, "SA moves per temperature")
 		temps     = flag.Int("temps", 100, "maximum SA temperature steps")
-		workers   = flag.Int("workers", 0, "congestion evaluation workers (0 = all CPUs, 1 = sequential; results are identical)")
 		judge     = flag.Bool("judge", false, "also score the result with the 10x10 um judging model")
 		asJSON    = flag.Bool("json", false, "emit the floorplan as JSON on stdout")
 		draw      = flag.Bool("draw", false, "render the placement as ASCII art")
@@ -90,7 +89,6 @@ func run() int {
 		Alpha: *alpha, Beta: *beta, Gamma: *gamma,
 		Seed:         *seed,
 		MovesPerTemp: *moves, MaxTemps: *temps,
-		Workers:         *workers,
 		CheckpointPath:  *ckptPath,
 		CheckpointEvery: *ckptEvery,
 	}

@@ -36,8 +36,7 @@ func TestWriteDiffReportJSON(t *testing.T) {
 			t.Fatal(err)
 		}
 		r, err := diff.Compare(chip, nets, diff.Opts{
-			Model:   core.Model{Pitch: diff.BenchPitch(name)},
-			Workers: []int{1, 4},
+			Model: core.Model{Pitch: diff.BenchPitch(name)},
 		})
 		rp.AddBench(name, r, err)
 	}

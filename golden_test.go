@@ -210,8 +210,7 @@ func TestGoldenMCNC(t *testing.T) {
 			// Differential verification of the golden placement.
 			chip := geom.Rect{X1: 0, Y1: 0, X2: got.ChipW, Y2: got.ChipH}
 			r, err := diff.Compare(chip, nets, diff.Opts{
-				Model:   core.Model{Pitch: got.Pitch},
-				Workers: []int{1, 4},
+				Model: core.Model{Pitch: got.Pitch},
 			})
 			if err != nil {
 				t.Errorf("oracle differential on golden placement: %v", err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,9 +10,9 @@ import (
 	"irgrid/internal/netlist"
 )
 
-// engineChip and engineNets build a fixed ≥500-net synthetic instance
-// large enough to exercise every shard and both evaluation paths
-// (short exact spans and long Simpson spans).
+// engineChip and engineNets build a fixed synthetic instance that
+// exercises both evaluation paths (short exact spans and long Simpson
+// spans).
 func engineChip() geom.Rect { return geom.Rect{X1: 0, Y1: 0, X2: 3000, Y2: 2400} }
 
 func engineNets(n int) []netlist.TwoPin {
@@ -45,21 +46,18 @@ func engineNets(n int) []netlist.TwoPin {
 	return nets
 }
 
-// TestEvaluateParallelDeterminism is the engine's core guarantee: the
-// probability map must be bit-identical — not merely close — for every
-// Workers setting, because SA acceptance decisions compare scores
-// across moves and any worker-count dependence would make runs
-// irreproducible.
+// TestEvaluateParallelDeterminism pins that the deprecated Workers
+// field has no effect: the probability map must be bit-identical — not
+// merely close — for every Workers setting, because SA acceptance
+// decisions compare scores across moves and callers that still set the
+// field must get the same runs as those that do not.
 func TestEvaluateParallelDeterminism(t *testing.T) {
 	chip := engineChip()
 	nets := engineNets(700)
-	if len(nets) < parallelMinNets {
-		t.Fatalf("fixture too small to engage the parallel path: %d nets", len(nets))
-	}
 
 	ref := Model{Pitch: 4, Workers: 1}.Evaluate(chip, nets)
 	for _, workers := range []int{2, 3, 4, 8, 16} {
-		mp := Model{Pitch: 4, Workers: workers}.Evaluate(chip, nets)
+		mp := Model{Pitch: 4, Workers: workers}.NewEvaluator().Evaluate(chip, nets)
 		if len(mp.Prob) != len(ref.Prob) {
 			t.Fatalf("Workers=%d: %d cells, want %d", workers, len(mp.Prob), len(ref.Prob))
 		}
@@ -120,9 +118,9 @@ func TestEvaluatorMatchesModelEvaluate(t *testing.T) {
 }
 
 // TestEvaluatorSteadyStateAllocs verifies the arena actually works: a
-// warmed engine must not allocate per Score call — on the sequential
-// path and on the parallel fan-out (persistent launch slots make
-// spawning the worker goroutines allocation-free too).
+// warmed engine must not allocate per Score call, on a small instance
+// and on a 500-net one from a model that still sets the ignored
+// Workers field.
 func TestEvaluatorSteadyStateAllocs(t *testing.T) {
 	chip := engineChip()
 	for _, tc := range []struct {
@@ -130,7 +128,7 @@ func TestEvaluatorSteadyStateAllocs(t *testing.T) {
 		nets    int
 		workers int
 	}{
-		{name: "seq", nets: 200, workers: 1}, // below parallelMinNets
+		{name: "seq", nets: 200, workers: 1},
 		{name: "par4", nets: 500, workers: 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -147,24 +145,28 @@ func TestEvaluatorSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestShardRangeCoversAllNets checks the shard partition is exact:
-// contiguous, disjoint and covering [0, n).
-func TestShardRangeCoversAllNets(t *testing.T) {
-	for _, n := range []int{0, 1, 63, 64, 65, 500, 700, 5000} {
-		shards := shardCount(n)
-		if shards < 1 || shards > maxShards {
-			t.Fatalf("n=%d: shardCount=%d out of range", n, shards)
+// TestEvaluateStopsOnCanceledContext pins the cancellation contract:
+// Model.Ctx is checked before the first net and every ctxCheckNets nets
+// after, so an already-canceled evaluation accumulates nothing, and a
+// later call with a live context on the same engine is exact again.
+func TestEvaluateStopsOnCanceledContext(t *testing.T) {
+	chip := engineChip()
+	nets := engineNets(300)
+	want := Model{Pitch: 4}.NewEvaluator().Evaluate(chip, nets).Clone()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	e := Model{Pitch: 4, Ctx: ctx}.NewEvaluator()
+	for i, v := range e.Evaluate(chip, nets).Prob {
+		if v != 0 {
+			t.Fatalf("canceled evaluation accumulated cell %d = %g", i, v)
 		}
-		next := 0
-		for s := 0; s < shards; s++ {
-			lo, hi := shardRange(n, shards, s)
-			if lo != next || hi < lo {
-				t.Fatalf("n=%d shard %d: range [%d,%d), expected lo=%d", n, s, lo, hi, next)
-			}
-			next = hi
-		}
-		if next != n {
-			t.Fatalf("n=%d: shards cover [0,%d), want [0,%d)", n, next, n)
+	}
+	e.reconfigure(Model{Pitch: 4})
+	got := e.Evaluate(chip, nets)
+	for i, v := range want.Prob {
+		if got.Prob[i] != v {
+			t.Fatalf("cell %d after a canceled call: %g, want %g", i, got.Prob[i], v)
 		}
 	}
 }

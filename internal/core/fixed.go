@@ -9,7 +9,7 @@ package core
 // order-independent, which buys two properties float accumulation
 // cannot offer together:
 //
-//   - any partition of the nets — shards, workers, or the delta
+//   - any order or partition of the nets — including the delta
 //     engine's add/remove of individual nets — produces the same
 //     accumulated bits, with no reduction-tree bookkeeping;
 //   - subtracting a net's stored contribution perfectly inverts having

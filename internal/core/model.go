@@ -23,8 +23,7 @@
 // buffer the evaluation needs — cutting-line axes, the probability
 // grid, per-net span scratch, the ln-factorial table and a memo of
 // per-edge escape sums — alive across calls, so a steady-state
-// simulated-annealing move evaluates with no heap allocation, and it
-// can shard the per-net accumulation across worker goroutines.
+// simulated-annealing move evaluates with no heap allocation.
 // Model.Evaluate and Model.Score remain as thin wrappers over a pooled
 // Evaluator.
 package core
@@ -72,19 +71,17 @@ type Model struct {
 	// continuity-corrected [x1-½, x2+½] that matches the discrete sum.
 	// Off by default; used by the integral-bounds ablation.
 	PaperBounds bool
-	// Workers is the number of goroutines Evaluate shards the per-net
-	// accumulation across. Zero uses GOMAXPROCS; 1 forces the
-	// sequential path. The result is bit-identical for every worker
-	// count: nets are partitioned into shards whose boundaries depend
-	// only on the net count, each shard accumulates into its own
-	// partial grid, and the partials are reduced in shard order.
+	// Workers is ignored: evaluation is always one sequential pass.
+	// The field is kept so that callers which still set it compile.
+	//
+	// Deprecated: has no effect; it will be removed.
 	Workers int
 	// Obs, when non-nil, receives the evaluation engine's metrics:
 	// stage timings (axis build, net accumulation, top-score
-	// selection), Simpson-memo hit/miss counters, grid dimensions and
-	// per-worker busy time. Telemetry observes values the evaluation
-	// already computed and never alters them, so instrumented and
-	// uninstrumented evaluations are bit-identical; with Obs nil the
+	// selection), Simpson-memo hit/miss counters and grid dimensions.
+	// Telemetry observes values the evaluation already computed and
+	// never alters them, so instrumented and uninstrumented
+	// evaluations are bit-identical; with Obs nil the
 	// instrumentation costs a few predictable branches and zero
 	// allocations (TestDisabledTelemetryZeroAlloc,
 	// TestDisabledTelemetryNsBudget).
@@ -98,16 +95,15 @@ type Model struct {
 	// a few predictable branches and zero allocations.
 	Spans *obs.Spans
 	// Recorder, when non-nil, is the flight recorder the engine feeds
-	// eval events and shard-panic events into; a recovered shard panic
-	// additionally triggers a postmortem dump if the recorder is armed.
+	// one timed eval event per Evaluate into.
 	Recorder *obs.Recorder
-	// Ctx, when non-nil, is checked cooperatively at shard boundaries
-	// during evaluation: once it is canceled, workers stop claiming
-	// shards and Evaluate returns early with a partial (meaningless)
-	// map. Callers that set Ctx own detecting the cancellation (via
-	// Ctx.Err) and discarding the result; the annealer does exactly
-	// that between a move's evaluation and its acceptance decision.
-	// With Ctx nil the checks cost one predictable branch per shard.
+	// Ctx, when non-nil, is checked cooperatively every 64 nets during
+	// evaluation: once it is canceled, Evaluate stops accumulating and
+	// returns early with a partial (meaningless) map. Callers that set
+	// Ctx own detecting the cancellation (via Ctx.Err) and discarding
+	// the result; the annealer does exactly that between a move's
+	// evaluation and its acceptance decision. With Ctx nil the checks
+	// cost one predictable branch per net.
 	Ctx context.Context
 }
 
@@ -119,42 +115,33 @@ func (m Model) Name() string {
 	return "ir-grid"
 }
 
-// WithWorkers returns a copy of the model evaluating with the given
-// worker count. The `any` return implements the optional
-// estimator-parallelism hook of higher layers (fplan.Config.Workers)
-// without core importing the pipeline packages.
-func (m Model) WithWorkers(workers int) any {
-	m.Workers = workers
-	return m
-}
-
 // WithObserver returns a copy of the model reporting metrics into reg.
-// Like WithWorkers, the `any` return implements the optional
-// estimator-telemetry hook of higher layers (fplan.Config.Obs).
+// The `any` return implements the optional estimator-telemetry hook of
+// higher layers (fplan.Config.Obs) without core importing the pipeline
+// packages.
 func (m Model) WithObserver(reg *obs.Registry) any {
 	m.Obs = reg
 	return m
 }
 
 // WithSpans returns a copy of the model reporting stage timings into
-// sp. Like WithWorkers, the `any` return implements the optional
+// sp. Like WithObserver, the `any` return implements the optional
 // estimator-span hook of higher layers (fplan.Config.Spans).
 func (m Model) WithSpans(sp *obs.Spans) any {
 	m.Spans = sp
 	return m
 }
 
-// WithRecorder returns a copy of the model feeding eval and
-// shard-panic events into rec. Like WithWorkers, the `any` return
-// implements the optional estimator-recorder hook of higher layers
-// (fplan.Config.Recorder).
+// WithRecorder returns a copy of the model feeding eval events into
+// rec. Like WithObserver, the `any` return implements the optional
+// estimator-recorder hook of higher layers (fplan.Config.Recorder).
 func (m Model) WithRecorder(rec *obs.Recorder) any {
 	m.Recorder = rec
 	return m
 }
 
 // WithContext returns a copy of the model whose evaluations check ctx
-// at shard boundaries. Like WithWorkers, the `any` return implements
+// every 64 nets. Like WithObserver, the `any` return implements
 // the optional estimator-cancellation hook of higher layers
 // (fplan.Runner.Run threads its context through it).
 func (m Model) WithContext(ctx context.Context) any {
@@ -275,7 +262,7 @@ func (mp *Map) Max() float64 {
 	return mx
 }
 
-// evaluator carries the per-worker evaluation state: the model
+// evaluator carries the per-net evaluation state: the model
 // configuration, the map being filled, the accumulation target, span
 // scratch, the ln-factorial table and an optional memo of canonical
 // per-edge escape sums.
@@ -311,8 +298,8 @@ type evaluator struct {
 	// hashing a cell-level memo dominated the whole evaluation).
 	memo map[edgeKey]float64
 
-	// Telemetry tallies: plain (non-atomic) per-worker counts of memo
-	// hits/misses and exact-recurrence lane sums, bumped unconditionally
+	// Telemetry tallies: plain counts of memo hits/misses and
+	// exact-recurrence lane sums, bumped unconditionally
 	// in the sweeps (a register increment — cheaper than even a
 	// nil-receiver method call in the lane loop) and flushed to the
 	// engine's registry counters only when telemetry is enabled.
@@ -327,15 +314,12 @@ type edgeKey struct {
 	right               bool
 }
 
-// memoCap bounds the per-worker cache; beyond it new shapes are
+// memoCap bounds the edge-sum cache; beyond it new shapes are
 // computed without being stored (an SA run revisits a bounded shape
 // population, so in practice the cap is never approached).
 const memoCap = 1 << 16
 
-// ensureLF lazily allocates and grows the ln-factorial table. In
-// parallel evaluation the table is shared read-only: the Evaluator
-// pre-grows it past every reachable n before fan-out, making the
-// Ensure here a no-op length check.
+// ensureLF lazily allocates and grows the ln-factorial table.
 func (ev *evaluator) ensureLF(n int) {
 	if ev.lf == nil {
 		ev.lf = new(nmath.LogFact)
@@ -400,8 +384,8 @@ func (ev *evaluator) addNet(n netlist.TwoPin) {
 // (TestSweepMatchesPerCell) at a fraction of the cost: ~4 flops per
 // unit cell instead of two exp calls per IR-grid. Long edges take the
 // memoized Theorem 1 Simpson integral instead of the recurrence; the
-// sweep is self-contained per net, so results cannot depend on which
-// worker runs it.
+// sweep is self-contained per net, so results cannot depend on the
+// order the nets are visited in.
 //
 //irlint:hot
 func (ev *evaluator) addNetSweep(f netFrame) {

@@ -1,64 +1,10 @@
 package core
 
 import (
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"irgrid/internal/obs"
 )
-
-// TestShardPanicWritesPostmortem pins the flight-recorder fault path:
-// a recovered shard panic records a shard_panic event and dumps a
-// loadable postmortem through the armed recorder, while the
-// evaluation itself still completes bit-identically.
-func TestShardPanicWritesPostmortem(t *testing.T) {
-	chip := engineChip()
-	nets := engineNets(700) // engages the parallel path
-	want := Model{Pitch: 4, Workers: 1}.Evaluate(chip, nets)
-
-	pmPath := filepath.Join(t.TempDir(), "eval.postmortem.json")
-	reg := obs.NewRegistry()
-	rec := obs.NewRecorder(32)
-	info := obs.PostmortemInfo{Version: "v-test", Circuit: "engine", Model: "ir-grid", Seed: 1}
-	rec.Arm(pmPath, info, reg, nil, nil)
-
-	e := Model{Pitch: 4, Workers: 4, Obs: reg, Recorder: rec}.NewEvaluator()
-	armShardPanics(t, 1)
-	got := e.Evaluate(chip, nets)
-
-	for i, v := range want.Prob {
-		if got.Prob[i] != v {
-			t.Fatalf("recovered run differs at cell %d", i)
-		}
-	}
-
-	pm, err := obs.LoadPostmortem(pmPath)
-	if err != nil {
-		t.Fatalf("shard panic left no postmortem: %v", err)
-	}
-	if pm.Reason != obs.RecShardPanic {
-		t.Errorf("postmortem reason %q, want %q", pm.Reason, obs.RecShardPanic)
-	}
-	if pm.Info != info {
-		t.Errorf("postmortem info %+v, want %+v", pm.Info, info)
-	}
-	var panicEv *obs.RecorderEvent
-	for i := range pm.Events {
-		if pm.Events[i].Kind == obs.RecShardPanic {
-			panicEv = &pm.Events[i]
-		}
-	}
-	if panicEv == nil {
-		t.Fatalf("postmortem events missing shard_panic: %+v", pm.Events)
-	}
-	if !strings.Contains(panicEv.Note, "injected shard crash") {
-		t.Errorf("shard_panic note %q missing the panic value", panicEv.Note)
-	}
-	if pm.Metrics["eval_shard_panics"] != 1 {
-		t.Errorf("postmortem metrics %v, want eval_shard_panics 1", pm.Metrics)
-	}
-}
 
 // TestRecorderEvalEvents pins the eval event stream: every Evaluate
 // through a recorder-attached model appends one timed eval event.
@@ -66,7 +12,7 @@ func TestRecorderEvalEvents(t *testing.T) {
 	chip := engineChip()
 	nets := engineNets(64)
 	rec := obs.NewRecorder(8)
-	e := Model{Pitch: 4, Workers: 1, Recorder: rec}.NewEvaluator()
+	e := Model{Pitch: 4, Recorder: rec}.NewEvaluator()
 	e.Evaluate(chip, nets)
 	e.Evaluate(chip, nets)
 	evs := rec.Events()

@@ -14,7 +14,7 @@ import (
 // (TestFaultMatrixCoversAllRegisteredPoints).
 func TestRegistryCoversEveryDeclaredPoint(t *testing.T) {
 	declared := []Point{
-		EvalShard, CheckpointWrite,
+		CheckpointWrite,
 		FSCreate, FSWrite, FSSync, FSRename, FSTornWrite, FSRead, FSCorruptRead,
 		JobRun,
 	}
@@ -42,7 +42,7 @@ func TestRegistryCoversEveryDeclaredPoint(t *testing.T) {
 // hook set, every Fire variant proceeds.
 func TestDisarmedFiresAreNoOps(t *testing.T) {
 	Reset()
-	if err := Fire(EvalShard, 3); err != nil {
+	if err := Fire(CheckpointWrite, 3); err != nil {
 		t.Errorf("disarmed Fire = %v", err)
 	}
 	if err := FirePath(FSWrite, "/x", 0); err != nil {
@@ -74,7 +74,7 @@ func TestPathHookReceivesContext(t *testing.T) {
 		t.Errorf("hook saw (%q, %q, %d)", gotPoint, gotPath, gotDetail)
 	}
 	// The legacy detail-only hook stays independent: unset, it proceeds.
-	if err := Fire(EvalShard, 0); err != nil {
+	if err := Fire(CheckpointWrite, 0); err != nil {
 		t.Errorf("Fire with only a path hook armed = %v, want nil", err)
 	}
 }
@@ -102,7 +102,7 @@ func TestResetDisarmsEverything(t *testing.T) {
 	SetPath(func(Point, string, int) error { return errors.New("b") })
 	SetRead(func(_ Point, _ string, d []byte) ([]byte, error) { return d, errors.New("c") })
 	Reset()
-	if err := Fire(EvalShard, 0); err != nil {
+	if err := Fire(CheckpointWrite, 0); err != nil {
 		t.Errorf("Fire after Reset = %v", err)
 	}
 	if err := FirePath(FSSync, "/x", 0); err != nil {

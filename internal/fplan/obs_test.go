@@ -195,7 +195,7 @@ func TestPositiveFallback(t *testing.T) {
 	}
 }
 
-// TestObserverForwardedToEstimator mirrors the Workers hook test: a
+// TestObserverForwardedToEstimator pins the estimator hooks: a
 // registry on the Config must reach estimators that support the
 // WithObserver hook and leave others untouched.
 func TestObserverForwardedToEstimator(t *testing.T) {

@@ -61,9 +61,8 @@ type Snapshot struct {
 // the run that wrote the snapshot: the full circuit and every config
 // knob that shapes the search trajectory. MaxTemps is deliberately
 // excluded — extending or shortening the schedule cap is a legitimate
-// reason to resume — as are Workers and FullEval (results are
-// bit-identical for every worker count and evaluation mode) and
-// telemetry.
+// reason to resume — as are FullEval (results are bit-identical for
+// both evaluation modes) and telemetry.
 func (r *Runner) configDigest() string {
 	h := sha256.New()
 	c := r.Circuit

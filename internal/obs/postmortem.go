@@ -36,7 +36,7 @@ type PostmortemInfo struct {
 // recent ring events oldest-first.
 type Postmortem struct {
 	Info PostmortemInfo `json:"info"`
-	// Reason is why the dump was taken: "shard_panic", "canceled",
+	// Reason is why the dump was taken: "job_panic", "canceled",
 	// "deadline", "sigquit", ...
 	Reason string `json:"reason"`
 	// UnixNs is the dump capture time.
@@ -58,8 +58,8 @@ type Postmortem struct {
 // Dump writes a postmortem file for the given reason and returns its
 // path. It is a no-op returning ("", nil) when the recorder is nil or
 // was never armed with a destination, so fault paths can call it
-// unconditionally. Dump may be called more than once (e.g. a shard
-// panic followed by cancellation); each call rewrites the file
+// unconditionally. Dump may be called more than once (e.g. a watchdog
+// stall followed by cancellation); each call rewrites the file
 // atomically with the then-current state.
 func (r *Recorder) Dump(reason string) (string, error) {
 	if r == nil {

@@ -16,8 +16,6 @@ const (
 	RecEval = "eval"
 	// RecCheckpoint is one checkpoint write attempt.
 	RecCheckpoint = "checkpoint"
-	// RecShardPanic is a recovered evaluator shard panic.
-	RecShardPanic = "shard_panic"
 )
 
 // RecorderEvent is one entry in the flight-recorder ring. It is a
@@ -47,8 +45,7 @@ type RecorderEvent struct {
 	Accepted bool `json:"accepted,omitempty"`
 	// Ns is the event's duration, when the producer timed it.
 	Ns int64 `json:"ns,omitempty"`
-	// Note carries kind-specific detail (shard index, checkpoint
-	// error, ...). Producers must pass constants or preformatted
+	// Note carries kind-specific detail (checkpoint error, ...). Producers must pass constants or preformatted
 	// strings from cold paths only.
 	Note string `json:"note,omitempty"`
 }
@@ -56,7 +53,7 @@ type RecorderEvent struct {
 // Recorder is a black-box flight recorder: a fixed-size ring of the
 // most recent events, preallocated up front so steady-state Record
 // calls copy into existing storage and never allocate. On a fault
-// (shard panic, cancellation, SIGQUIT) Dump writes a postmortem file
+// (job panic, cancellation, SIGQUIT) Dump writes a postmortem file
 // capturing the ring together with build/config identity, the metrics
 // snapshot and span aggregates.
 //

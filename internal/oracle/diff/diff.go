@@ -5,9 +5,9 @@
 // geometry matches exactly and every per-grid probability lands within
 // its documented error budget — oracle.ExactEps for cells the engine
 // sums exactly, plus oracle.SimpsonEps per net contribution the engine
-// scores with the Theorem 1 quadrature. It also re-runs the engine at
-// several worker counts and demands bit-identical maps, pinning the
-// sharded evaluator's determinism guarantee.
+// scores with the Theorem 1 quadrature. CompareMoves also replays SA
+// move sequences through the incremental engine and demands maps
+// bit-identical to from-scratch evaluation.
 package diff
 
 import (
@@ -26,29 +26,17 @@ import (
 
 // Opts configures one comparison.
 type Opts struct {
-	// Model is the engine configuration under test. Pitch must be set;
-	// Workers is overridden per run.
+	// Model is the engine configuration under test. Pitch must be set.
 	Model core.Model
 	// Rat evaluates the oracle side in big-rational arithmetic. Exact
 	// but slow; keep circuits small.
 	Rat bool
-	// Workers are the engine worker counts to run; the first is the
-	// comparison baseline and the rest must produce bit-identical maps.
-	// Nil means {1, 4}.
-	Workers []int
 	// ExactEps is the per-cell budget when no contribution was
 	// approximated; zero means oracle.ExactEps.
 	ExactEps float64
 	// SimpsonEps is the additional per-cell budget per Simpson-scored
 	// net contribution; zero means oracle.SimpsonEps.
 	SimpsonEps float64
-}
-
-func (o Opts) workers() []int {
-	if len(o.Workers) == 0 {
-		return []int{1, 4}
-	}
-	return o.Workers
 }
 
 func (o Opts) exactEps() float64 {
@@ -68,11 +56,11 @@ func (o Opts) simpsonEps() float64 {
 // Result summarizes one comparison. It is populated as far as the
 // comparison got even when Compare also returns an error.
 type Result struct {
-	Nets       int     `json:"nets"`
-	Cols       int     `json:"cols"`
-	Rows       int     `json:"rows"`
-	ExactCells int     `json:"exact_cells"`  // cells with no approximated contribution
-	ApproxCells int    `json:"approx_cells"` // cells with ≥1 Simpson-scored contribution
+	Nets         int     `json:"nets"`
+	Cols         int     `json:"cols"`
+	Rows         int     `json:"rows"`
+	ExactCells   int     `json:"exact_cells"`    // cells with no approximated contribution
+	ApproxCells  int     `json:"approx_cells"`   // cells with ≥1 Simpson-scored contribution
 	MaxExactErr  float64 `json:"max_exact_err"`  // worst |Δ| over exact cells
 	MaxApproxErr float64 `json:"max_approx_err"` // worst |Δ| over approx cells
 	// MaxApproxErrPerNet is the worst |Δ| divided by the cell's number
@@ -83,8 +71,7 @@ type Result struct {
 }
 
 // Compare evaluates chip/nets with the oracle and the engine and
-// checks geometry, per-cell budgets, worker determinism and the
-// top-score machinery. The returned Result carries the measured error
+// checks geometry, per-cell budgets and the top-score machinery. The returned Result carries the measured error
 // envelope; a non-nil error describes the first violation.
 func Compare(chip geom.Rect, nets []netlist.TwoPin, o Opts) (*Result, error) {
 	cfg := oracle.Config{
@@ -98,20 +85,7 @@ func Compare(chip geom.Rect, nets []netlist.TwoPin, o Opts) (*Result, error) {
 	ref := cfg.Evaluate(chip, nets)
 	res := &Result{Nets: len(nets), Cols: ref.Cols(), Rows: ref.Rows()}
 
-	workers := o.workers()
-	m := o.Model
-	m.Workers = workers[0]
-	base := m.Evaluate(chip, nets)
-
-	// Worker determinism: every other worker count must reproduce the
-	// baseline map bit for bit.
-	for _, w := range workers[1:] {
-		m.Workers = w
-		got := m.Evaluate(chip, nets)
-		if err := bitIdentical(base, got); err != nil {
-			return res, fmt.Errorf("workers=%d vs workers=%d: %w", w, workers[0], err)
-		}
-	}
+	base := o.Model.Evaluate(chip, nets)
 
 	// Geometry: same cutting lines, exactly.
 	if err := sameAxes(ref, base); err != nil {

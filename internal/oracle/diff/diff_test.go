@@ -33,9 +33,9 @@ func TestDifferentialRandomCircuits(t *testing.T) {
 		rp.MaxExactErr, rp.MaxApproxErr, rp.MaxScoreErr)
 }
 
-// TestDifferentialParallelLargeCircuits drives circuits big enough
-// (≥256 nets) to actually take the engine's sharded parallel path, and
-// demands bit-identical maps across worker counts.
+// TestDifferentialParallelLargeCircuits drives large circuits (300 to
+// 600 nets, the size that once took a sharded parallel path) through
+// the per-cell budget checks.
 func TestDifferentialParallelLargeCircuits(t *testing.T) {
 	n := 12
 	if testing.Short() {
@@ -47,8 +47,7 @@ func TestDifferentialParallelLargeCircuits(t *testing.T) {
 		chip := RandomChip(rng, pitch)
 		nets := RandomNets(rng, chip, 300+rng.Intn(300), pitch)
 		r, err := Compare(chip, nets, Opts{
-			Model:   core.Model{Pitch: pitch},
-			Workers: []int{1, 2, 4, 16},
+			Model: core.Model{Pitch: pitch},
 		})
 		if err != nil {
 			t.Fatalf("circuit %d (%d nets, %dx%d grid): %v", i, r.Nets, r.Cols, r.Rows, err)
@@ -175,8 +174,7 @@ func TestDifferentialMCNC(t *testing.T) {
 			pins := mcncErrPins[name]
 
 			r, err := Compare(chip, nets, Opts{
-				Model:   core.Model{Pitch: BenchPitch(name)},
-				Workers: []int{1, 4},
+				Model: core.Model{Pitch: BenchPitch(name)},
 			})
 			if err != nil {
 				t.Fatalf("%s (%d nets, %dx%d grid): %v", name, r.Nets, r.Cols, r.Rows, err)
@@ -190,8 +188,7 @@ func TestDifferentialMCNC(t *testing.T) {
 			}
 
 			fs, err := Compare(chip, nets, Opts{
-				Model:   core.Model{Pitch: BenchPitch(name), ExactSpanLimit: -1},
-				Workers: []int{1, 4},
+				Model: core.Model{Pitch: BenchPitch(name), ExactSpanLimit: -1},
 			})
 			if err != nil {
 				t.Fatalf("%s forced Simpson: %v", name, err)

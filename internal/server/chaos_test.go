@@ -104,15 +104,6 @@ func TestFaultMatrixCoversAllRegisteredPoints(t *testing.T) {
 		faultinject.FSRead:        readFaultScenario,
 		faultinject.FSCorruptRead: corruptReadScenario,
 		faultinject.JobRun:        jobRunFaultScenario,
-		// The incremental engine bypasses the parallel evaluator; full
-		// evaluation with Workers > 1 drives the sharded path the
-		// eval.shard seam lives on (bit-identical either way).
-		faultinject.EvalShard: func(t *testing.T) int64 {
-			req := testRequest("apte", 47)
-			req.Options.FullEval = true
-			req.Options.Workers = 2
-			return observeScenario(t, faultinject.EvalShard, req)
-		},
 		faultinject.CheckpointWrite: func(t *testing.T) int64 {
 			return observeScenario(t, faultinject.CheckpointWrite, testRequest("apte", 47))
 		},
@@ -335,8 +326,7 @@ func jobRunFaultScenario(t *testing.T) int64 {
 }
 
 // observeScenario proves a point that other packages' tests drill in
-// depth (shard crashes in internal/core, checkpoint I/O in
-// internal/ckpt) actually fires on the service's hot path: a counting
+// depth (checkpoint I/O in internal/ckpt) actually fires on the service's hot path: a counting
 // no-op hook sees it during a normal job.
 func observeScenario(t *testing.T, point faultinject.Point, req *server.JobRequest) int64 {
 	ts, _ := chaosServer(t)

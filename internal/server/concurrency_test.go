@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"irgrid/internal/faultinject"
 	"irgrid/internal/server"
 	"irgrid/internal/server/harness"
 )
@@ -278,4 +281,92 @@ func TestShutdownLeaksNoGoroutines(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 	t.Errorf("goroutines: before=%d after=%d (leak)", before, runtime.NumGoroutine())
+}
+
+// holdFirstRecordWrite arms an fs.write hook that stalls the first
+// write of job id's job.json until the returned release func is
+// called; entered is closed once that write is stalled. Later writes
+// of the record pass through. Cleanup releases the write and disarms
+// the hook.
+func holdFirstRecordWrite(t *testing.T, stateDir, id string) (entered <-chan struct{}, release func()) {
+	t.Helper()
+	record := filepath.Join(stateDir, "jobs", id, "job.json")
+	in := make(chan struct{})
+	gate := make(chan struct{})
+	var calls atomic.Int64
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	faultinject.SetPath(func(p faultinject.Point, path string, _ int) error {
+		if p == faultinject.FSWrite && path == record && calls.Add(1) == 1 {
+			close(in)
+			<-gate
+		}
+		return nil
+	})
+	t.Cleanup(func() {
+		release()
+		faultinject.Reset()
+	})
+	return in, release
+}
+
+// waitClosed fails the test if ch is not closed before ctx expires.
+func waitClosed(ctx context.Context, t *testing.T, ch <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-ctx.Done():
+		t.Fatalf("timed out waiting for %s", what)
+	}
+}
+
+// TestFIFOHoldsWhileHeadRecordIsWritten forces the interleaving that
+// used to reorder the queue: job 1's record write is stalled until job
+// 2 has been accepted (and its own record written). Job 1 was accepted
+// first, so it must hold queue position 1 and start first on the
+// single worker.
+func TestFIFOHoldsWhileHeadRecordIsWritten(t *testing.T) {
+	ts := harness.StartTestServer(t, func(c *server.Config) { c.Workers = 1 })
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	entered, release := holdFirstRecordWrite(t, ts.StateDir, "j00000001")
+
+	type submitted struct {
+		st  *server.JobStatus
+		err error
+	}
+	first := make(chan submitted, 1)
+	go func() {
+		st, err := ts.Submit(ctx, tinyRequest(1))
+		first <- submitted{st, err}
+	}()
+	waitClosed(ctx, t, entered, "job 1's record write")
+
+	second, err := ts.Submit(ctx, tinyRequest(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.ID != "j00000002" || second.QueuePosition != 2 {
+		t.Errorf("job 2 accepted as %s at position %d, want j00000002 at 2", second.ID, second.QueuePosition)
+	}
+	release()
+	r := <-first
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+
+	a, err := ts.WaitTerminal(ctx, r.st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ts.WaitTerminal(ctx, second.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.State != server.StateDone || b.State != server.StateDone {
+		t.Fatalf("states %q, %q; want done, done", a.State, b.State)
+	}
+	if b.StartedUnixNs < a.FinishedUnixNs {
+		t.Errorf("job %s started before earlier-accepted %s finished", b.ID, a.ID)
+	}
 }

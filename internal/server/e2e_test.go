@@ -1,7 +1,9 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -49,7 +51,7 @@ func assertResultMatchesDirect(t *testing.T, got *server.JobResult, want *floorp
 		t.Errorf("circuit = %q, want %q", got.Circuit, want.Circuit)
 	}
 	pairs := []struct {
-		name     string
+		name      string
 		got, want float64
 	}{
 		{"chip_w", got.ChipW, want.ChipW},
@@ -170,4 +172,51 @@ func TestEventsStreamCarriesRunTrace(t *testing.T) {
 	if len(final.Spans) == 0 {
 		t.Error("terminal status has no span aggregates")
 	}
+}
+
+// TestDeprecatedWorkersFieldAccepted pins wire compatibility: the
+// "workers" option no longer does anything, but a request that still
+// carries it is accepted (strict decoding must not reject it) and
+// returns the same bits as a direct run.
+func TestDeprecatedWorkersFieldAccepted(t *testing.T) {
+	ts := harness.StartTestServer(t)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	req := testRequest("apte", 11)
+	req.Options.MovesPerTemp, req.Options.MaxTemps = 4, 2
+	req.Options.Workers = 2
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(body, []byte(`"workers":2`)) {
+		t.Fatalf("request body %s does not carry the workers field", body)
+	}
+	st, err := ts.SubmitRaw(ctx, body)
+	if err != nil {
+		t.Fatalf("submit with workers set: %v", err)
+	}
+	fin, err := ts.WaitTerminal(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin.State != server.StateDone {
+		t.Fatalf("job finished %q (%s), want done", fin.State, fin.Error)
+	}
+	got, err := ts.Result(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := floorplan.Benchmark("apte")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := directOptions(11)
+	opts.MovesPerTemp, opts.MaxTemps = 4, 2
+	want, err := floorplan.Run(c, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertResultMatchesDirect(t, got, want)
 }

@@ -130,8 +130,13 @@ type RunOptions struct {
 	MaxTemps        int     `json:"max_temps,omitempty"`
 	WirelengthModel string  `json:"wirelength_model,omitempty"`
 	Representation  string  `json:"representation,omitempty"`
-	Workers         int     `json:"workers,omitempty"`
-	FullEval        bool    `json:"full_eval,omitempty"`
+	// Workers is accepted and ignored: congestion evaluation is
+	// single-threaded. The field stays so that strict decoding does not
+	// reject requests from clients that still send it.
+	//
+	// Deprecated: has no effect; it will be removed.
+	Workers  int  `json:"workers,omitempty"`
+	FullEval bool `json:"full_eval,omitempty"`
 	// TimeoutSeconds bounds the job's wall time; on expiry the job
 	// completes with outcome "deadline" and the best result so far.
 	TimeoutSeconds float64 `json:"timeout_seconds,omitempty"`
@@ -241,7 +246,6 @@ func validateRequest(req *JobRequest) (*jobSpec, *Error) {
 		MaxTemps:        o.MaxTemps,
 		WirelengthModel: o.WirelengthModel,
 		Representation:  o.Representation,
-		Workers:         o.Workers,
 		FullEval:        o.FullEval,
 	}
 	if o.Model != "" || o.Gamma != 0 {
@@ -390,6 +394,12 @@ type job struct {
 
 	cancelRequested bool
 	cancel          func()
+
+	// persisting marks a job that holds its place in the server queue
+	// while submit writes its record off the server lock. Workers wait
+	// while the queue head is persisting, so accept order is run order.
+	// Guarded by Server.mu, not j.mu.
+	persisting bool
 
 	spans []telemetry.SpanAggregate
 

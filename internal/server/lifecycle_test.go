@@ -222,3 +222,42 @@ func TestTimeboxedJobReportsBestSoFar(t *testing.T) {
 			res.Outcome, res.Area, len(res.Modules))
 	}
 }
+
+// TestCancelDuringRecordWriteStaysCanceled cancels a job while its
+// first record write is stalled, so the cancel's terminal record lands
+// before the stalled queued one. Submit must write the terminal record
+// again last: a restarted server finds the job canceled, not queued
+// for a run nobody wants.
+func TestCancelDuringRecordWriteStaysCanceled(t *testing.T) {
+	ts := harness.StartTestServer(t, func(c *server.Config) { c.Workers = 1 })
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	entered, release := holdFirstRecordWrite(t, ts.StateDir, "j00000001")
+
+	first := make(chan error, 1)
+	go func() {
+		_, err := ts.Submit(ctx, tinyRequest(1))
+		first <- err
+	}()
+	waitClosed(ctx, t, entered, "job 1's record write")
+	st, err := ts.Cancel(ctx, "j00000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != server.StateCanceled {
+		t.Fatalf("canceled state %q", st.State)
+	}
+	release()
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+
+	ts = ts.Restart(t)
+	st, err = ts.Status(ctx, "j00000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != server.StateCanceled {
+		t.Fatalf("after restart job is %q, want canceled", st.State)
+	}
+}

@@ -172,11 +172,6 @@ type Server struct {
 	jobs     map[string]*job
 	nextID   int
 	draining bool
-	// pending counts submissions that hold a reserved queue slot while
-	// their job record is persisted outside s.mu (see submit): the
-	// admission check uses len(queue)+pending so concurrent submits
-	// cannot oversubscribe the queue during the disk write.
-	pending int
 
 	wg sync.WaitGroup
 
@@ -487,13 +482,15 @@ func (s *Server) workerLoop() {
 	}
 }
 
-// dequeue pops the FIFO head, blocking while the queue is empty.
-// It returns nil when the server is draining — including when jobs
-// remain queued: they stay persisted for the next daemon.
+// dequeue pops the FIFO head, blocking while the queue is empty or
+// its head is still being persisted by submit (so a later job whose
+// write finished first cannot overtake it). It returns nil when the
+// server is draining — including when jobs remain queued: they stay
+// persisted for the next daemon.
 func (s *Server) dequeue() *job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for len(s.queue) == 0 && !s.draining {
+	for (len(s.queue) == 0 || s.queue[0].persisting) && !s.draining {
 		s.cond.Wait()
 	}
 	if s.draining {
@@ -514,20 +511,20 @@ func (s *Server) submit(body []byte) (*JobStatus, *Error) {
 	}
 	now := time.Now().UnixNano()
 
-	// Phase 1 under s.mu: admission control and identity. The queue
-	// slot is reserved (pending) so the record can be persisted off the
-	// lock — the retrying store can spend seconds on a sick disk, and
-	// holding s.mu across that would stall every status poll and
-	// dequeue (the lockscope invariant) — without letting concurrent
-	// submits oversubscribe the queue meanwhile.
+	// Phase 1 under s.mu: admission control, identity and queue
+	// position. The job enters the queue now, in accept order, marked
+	// persisting so no worker starts it before its record is written.
+	// The write itself happens off the lock — the retrying store can
+	// spend seconds on a sick disk, and holding s.mu across that would
+	// stall every status poll and dequeue (the lockscope invariant).
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
 		return nil, &Error{Status: http.StatusServiceUnavailable, Code: CodeShuttingDown,
 			Message: "server is draining; resubmit after restart"}
 	}
-	if len(s.queue)+s.pending >= s.cfg.QueueDepth {
-		occupied := len(s.queue) + s.pending
+	if len(s.queue) >= s.cfg.QueueDepth {
+		occupied := len(s.queue)
 		s.mQueueFull.Inc()
 		s.mu.Unlock()
 		return nil, &Error{Status: http.StatusTooManyRequests, Code: CodeQueueFull,
@@ -538,7 +535,9 @@ func (s *Server) submit(body []byte) (*JobStatus, *Error) {
 	dir := filepath.Join(s.jobsDir(), id)
 	j := newJob(id, dir, spec, now)
 	s.jobs[id] = j
-	s.pending++
+	j.persisting = true
+	s.queue = append(s.queue, j)
+	s.gQueueDepth.Set(float64(len(s.queue)))
 	s.mu.Unlock()
 
 	// Disk I/O with no server lock held. Degraded acceptance: a failing
@@ -556,23 +555,26 @@ func (s *Server) submit(body []byte) (*JobStatus, *Error) {
 		s.persistJob(j)
 	}
 
-	// Phase 2 under s.mu: release the reservation and enqueue. The job
-	// was visible in s.jobs during the write, so it may already have
-	// been canceled — a canceled job must not enter the queue.
+	// Phase 2 under s.mu: release the job to the workers. It was
+	// visible during the write, so it may already have been canceled
+	// (and removed from the queue); its position is looked up afresh.
 	s.mu.Lock()
-	s.pending--
-	j.mu.Lock()
-	enqueue := j.state == StateQueued
-	j.mu.Unlock()
+	j.persisting = false
 	pos := 0
-	if enqueue {
-		s.queue = append(s.queue, j)
-		pos = len(s.queue)
+	for i, q := range s.queue {
+		if q == j {
+			pos = i + 1
+			break
+		}
 	}
-	s.gQueueDepth.Set(float64(len(s.queue)))
 	s.mSubmitted.Inc()
-	s.cond.Signal()
+	s.cond.Broadcast()
 	s.mu.Unlock()
+	if pos == 0 {
+		// Canceled during the write: cancelJob's terminal record may
+		// have landed before the queued one, so write it again last.
+		s.persistJob(j)
+	}
 	return j.status(pos), nil
 }
 
@@ -686,6 +688,8 @@ func (s *Server) cancelJob(id string) (*JobStatus, *Error) {
 			}
 		}
 		s.gQueueDepth.Set(float64(len(s.queue)))
+		// The head may have changed (a persisting head was removed).
+		s.cond.Broadcast()
 		j.state = StateCanceled
 		j.outcome = telemetry.OutcomeCanceled
 		j.finished = time.Now().UnixNano()
